@@ -1,0 +1,14 @@
+"""Put the benchmark's modules and the program's sources on the path.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(os.path.dirname(BENCH), "src")
+
+for path in (SRC, BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
