@@ -53,7 +53,7 @@ from repro.ir.instructions import Call, CallIndirect, FuncAddr, Syscall
 from repro.policy import CompiledPolicy, FlowFunction, build_transition_graph
 from repro.syscalls import argspec_for
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
-from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, Image
+from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, load_module
 
 PASS_NAME = "binary"
 _KINDS = ("direct", "indirect")
@@ -370,18 +370,12 @@ def compile_policy(recovery, program=None):
     )
 
 
-_policy_cache = {}
-
-
 def policy_for_image(module):
-    """Compile (and cache) the binary-produced policy for a module."""
-    key = id(module)
-    cached = _policy_cache.get(key)
-    if cached is None or cached[0] is not module:
-        recovery = recover_image_for(module)
-        cached = (module, compile_policy(recovery))
-        _policy_cache[key] = cached
-    return cached[1]
+    """The binary-produced policy for a module's image, compiled once per
+    module (:meth:`Module.derive`)."""
+    return module.derive(
+        "binary-policy", lambda m: compile_policy(recover_image_for(m))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +589,12 @@ def audit_binary(artifact):
 # precision report
 # ---------------------------------------------------------------------------
 
-_recovery_cache = {}
-
-
 def recover_image_for(module):
-    """Recover (and cache) the binary tables for a module's image."""
-    key = id(module)
-    cached = _recovery_cache.get(key)
-    if cached is None or cached.image.module is not module:
-        cached = recover_image(Image(module))
-        _recovery_cache[key] = cached
-    return cached
+    """The binary tables recovered from the module's shared image
+    (:func:`~repro.vm.loader.load_module`), once per module."""
+    return module.derive(
+        "binary-recovery", lambda m: recover_image(load_module(m))
+    )
 
 
 def _kind_list(entry):

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from repro.attacks.catalog import attack_by_name
 from repro.attacks.primitives import AttackEnv
-from repro.attacks.runner import _target_artifact, attack_target
+from repro.attacks.runner import _target_module, attack_target
 from repro.kernel.kernel import Kernel
+from repro.mechanisms.base import artifact_for
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
 from repro.runtime.shadow_table import COPIES_LAYOUT, ShadowTable, ShadowTableLayout
@@ -67,7 +68,7 @@ def _launch_jujutsu(stage):
     spec = attack_by_name("control_jujutsu")
     kernel = Kernel()
     attack_target("nginx").prepare_env(kernel)
-    artifact = _target_artifact("nginx", False)
+    artifact = artifact_for(_target_module("nginx"))
     monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
     proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
     env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
@@ -153,7 +154,7 @@ def constant_violator():
     """
     kernel = Kernel()
     attack_target("nginx").prepare_env(kernel)
-    artifact = _target_artifact("nginx", False)
+    artifact = artifact_for(_target_module("nginx"))
     monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
     proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
     env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)

@@ -25,12 +25,12 @@ from repro.apps.nginx import NginxConfig, build_nginx
 from repro.apps.workloads import SimpleServerWorkload, WrkWorkload
 from repro.attacks.catalog import CATALOG
 from repro.attacks.primitives import AttackEnv
-from repro.compiler.pipeline import BastionCompiler
 from repro.kernel.kernel import Kernel
+from repro.mechanisms.base import artifact_for
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
 from repro.vm.cpu import CPU, CPUOptions
-from repro.vm.loader import Image
+from repro.vm.loader import load_module
 
 
 class BlockingContext(str, enum.Enum):
@@ -160,22 +160,14 @@ def target_names():
 
 
 _module_cache = {}
-_artifact_cache = {}
 
 
 def _target_module(target):
+    """The target's module, built once; everything derived from it (image,
+    BASTION artifact, filters, policies) is memoized on the module."""
     if target not in _module_cache:
         _module_cache[target] = TARGETS[target].build()
     return _module_cache[target]
-
-
-def _target_artifact(target, extend_filesystem):
-    key = (target, extend_filesystem)
-    if key not in _artifact_cache:
-        _artifact_cache[key] = BastionCompiler(
-            extend_filesystem=extend_filesystem
-        ).compile(_target_module(target))
-    return _artifact_cache[key]
 
 
 @dataclass
@@ -273,18 +265,17 @@ def run_attack(
     target.prepare_env(kernel)
     options = cpu_options or CPUOptions(cet=False)
 
+    module = _target_module(spec.target)
     monitor = None
     if policy is not None:
-        artifact = _target_artifact(spec.target, spec.needs_fs_extension)
+        artifact = artifact_for(module, spec.needs_fs_extension)
         monitor = BastionMonitor(artifact, policy=policy)
         proc, cpu = monitor.launch(kernel, cpu_options=options)
     elif defense is not None:
         mechanism = defense.mechanism()
-        proc, cpu = mechanism.launch(
-            kernel, spec.target, _target_module(spec.target)
-        )
+        proc, cpu = mechanism.launch(kernel, spec.target, module)
     else:
-        image = Image(_target_module(spec.target))
+        image = load_module(module)
         proc = kernel.create_process(spec.target, image)
         cpu = CPU(image, proc, kernel, options)
 

@@ -25,7 +25,16 @@ class DebloatReport:
 
 
 def debloat_module(module):
-    """Return ``(debloated_module, DebloatReport)``; input is untouched."""
+    """Return ``(debloated_module, DebloatReport)``; input is untouched.
+
+    Built once per source module (:meth:`Module.derive`) and shared by
+    every caller, so treat both results as read-only; debloat a
+    ``module.clone()`` for a private copy.
+    """
+    return module.derive("debloat", _debloat)
+
+
+def _debloat(module):
     callgraph = build_callgraph(module)
     reachable = callgraph.reachable_from([module.entry])
     new_module = module.clone()

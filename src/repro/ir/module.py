@@ -23,6 +23,8 @@ class Module:
         self.functions = {}
         self.globals = {}
         self.types = TypeTable()
+        #: (snapshot, {key: value}) of module-derived artifacts; see derive()
+        self._derived = None
 
     def add_function(self, function):
         if function.name in self.functions:
@@ -51,8 +53,65 @@ class Module:
         return self.types.get(name)
 
     def clone(self):
-        """Deep copy — the instrumenter works on a copy, never in place."""
+        """Deep copy — the instrumenter works on a copy, never in place.
+
+        The copy starts with an empty :meth:`derive` memo.
+        """
         return copy.deepcopy(self)
+
+    def __getstate__(self):
+        # copies and pickles never carry the memo: its artifacts belong to
+        # this module object (an Image resolves addresses against it)
+        state = dict(self.__dict__)
+        state["_derived"] = None
+        return state
+
+    # -- derived artifacts ----------------------------------------------
+
+    def derive(self, key, build):
+        """The artifact ``key`` derived from this module, built once.
+
+        Launch-time artifacts that depend only on the module — its
+        validated image, its debloated copy, compiled policies and seccomp
+        filters — are memoized here, so every launch of one module shares
+        them and the memo lives exactly as long as the module.  ``build``
+        is called as ``build(module)`` on a miss; an exception propagates
+        and caches nothing.
+
+        Every lookup first compares a structural snapshot (see
+        :meth:`_snapshot`) with the one the memo was filled under and
+        drops the whole memo on any difference, so a changed module is
+        re-validated and re-derived even when the edit skipped
+        :meth:`Function.invalidate`.
+        """
+        snapshot = self._snapshot()
+        memo = self._derived
+        if memo is None or memo[0] != snapshot:
+            memo = self._derived = (snapshot, {})
+        table = memo[1]
+        if key not in table:
+            table[key] = build(self)
+        return table[key]
+
+    def _snapshot(self):
+        """Everything a derivation reads, by identity.
+
+        Each function contributes its dict key, the object, its version,
+        params, wrapper flag and a tuple of its body's instruction
+        *objects* (holding them keeps a replaced instruction's id from
+        being reused).  Instructions and globals are compared by identity:
+        replacing one is noticed, mutating one's fields in place is not —
+        call :meth:`Function.invalidate` after such an edit.
+        """
+        return (
+            self.entry,
+            tuple(
+                (name, f, f.version, tuple(f.params), f.is_wrapper, tuple(f.body))
+                for name, f in self.functions.items()
+            ),
+            tuple(self.globals.items()),
+            tuple(self.types.structs.items()),
+        )
 
     def instruction_count(self):
         return sum(len(f.body) for f in self.functions.values())

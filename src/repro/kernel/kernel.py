@@ -62,7 +62,7 @@ from repro.kernel.seccomp import (
     SECCOMP_RET_KILL_THREAD,
     SECCOMP_RET_TRACE,
     SECCOMP_RET_TRAP,
-    compute_action_cache,
+    compose_action_cache,
     evaluate_filters,
 )
 from repro.kernel.vfs import (
@@ -75,7 +75,7 @@ from repro.kernel.vfs import (
     S_IFDIR,
     S_IFREG,
 )
-from repro.syscalls.table import SYSCALLS, nr_of
+from repro.syscalls.table import nr_of
 from repro.telemetry import TelemetryBus
 from repro.vm.costs import DEFAULT_COSTS
 from repro.vm.memory import WORD
@@ -352,13 +352,13 @@ class Kernel:
         """Attach a filter (as the monitor does before releasing the app).
 
         Like Linux at ``SECCOMP_SET_MODE_FILTER`` time, the per-syscall
-        ALLOW bitmap is recomputed over *all* attached filters so that
-        always-allowed syscalls skip the BPF engine on the hot path.
+        ALLOW bitmap is rebuilt over *all* attached filters so that
+        always-allowed syscalls skip the BPF engine on the hot path.  It
+        is composed from each filter's own ALLOW set (computed once per
+        filter object), not re-evaluated per install.
         """
         proc.seccomp_filters.append(seccomp_filter)
-        proc.seccomp_action_cache = compute_action_cache(
-            proc.seccomp_filters, [entry.nr for entry in SYSCALLS]
-        )
+        proc.seccomp_action_cache = compose_action_cache(proc.seccomp_filters)
 
     def run_child(self, child, image, entry, args=(), cpu_options=None):
         """Run a clone()d child at its start routine, to completion.

@@ -13,7 +13,7 @@ program (one JEQ chain entry per syscall), which the kernel evaluates on
 every syscall of the protected process.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.kernel.bpf import (
     AUDIT_ARCH_X86_64,
@@ -31,6 +31,7 @@ from repro.kernel.bpf import (
     jump,
     stmt,
 )
+from repro.syscalls.table import SYSCALLS
 
 SECCOMP_RET_KILL_PROCESS = 0x80000000
 SECCOMP_RET_KILL_THREAD = 0x00000000
@@ -69,16 +70,49 @@ def action_name(action):
     return names.get(action & SECCOMP_RET_ACTION_FULL, "0x%08x" % action)
 
 
+#: marks a filter whose ALLOW set has not been computed yet
+_UNSET = object()
+#: the numbers an ALLOW set is computed over: the whole syscall table
+_ALL_NRS = tuple(entry.nr for entry in SYSCALLS)
+
+
 @dataclass
 class SeccompFilter:
     """One attached filter: a cBPF program plus bookkeeping."""
 
     program: BPFProgram
     label: str = "filter"
+    _allow_nrs: object = field(
+        default=_UNSET, init=False, repr=False, compare=False
+    )
 
     def evaluate(self, data):
         """Run the program; returns ``(action_value, instructions_executed)``."""
         return self.program.run(data)
+
+    def allow_nrs(self):
+        """Syscall numbers this filter ALLOWs whatever their arguments.
+
+        ``None`` when the program reads arguments or the instruction
+        pointer (no constant verdict exists).  Computed once per filter,
+        at its first install, by evaluating the program against every
+        syscall number; a filter shared by many processes is evaluated
+        once in total.  The program must not be edited after that
+        (fault injection swaps in a copy instead, see repro.fuzz.faults).
+        """
+        if self._allow_nrs is _UNSET:
+            self._allow_nrs = (
+                frozenset(
+                    nr
+                    for nr in _ALL_NRS
+                    if self.evaluate(SeccompData(nr=nr))[0]
+                    & SECCOMP_RET_ACTION_FULL
+                    == SECCOMP_RET_ALLOW
+                )
+                if _filter_is_nr_only(self)
+                else None
+            )
+        return self._allow_nrs
 
 
 def combine_actions(actions):
@@ -190,11 +224,33 @@ def _filter_is_nr_only(filt):
     return True
 
 
+def compose_action_cache(filters):
+    """The action cache of a filter stack, from per-filter ALLOW sets.
+
+    Exact with respect to :func:`compute_action_cache`: the combined
+    action is the strictest one (:func:`combine_actions`) and ALLOW ranks
+    last, so a stack ALLOWs a number exactly when every filter does — the
+    intersection of the filters' sets.  Any argument/ip-dependent filter
+    (``allow_nrs() is None``) disables the cache, as does an empty stack.
+    """
+    allow = None
+    for filt in filters:
+        nrs = filt.allow_nrs()
+        if nrs is None:
+            return None
+        allow = nrs if allow is None else allow & nrs
+    if allow is None:
+        return None
+    return SeccompActionCache(allow_nrs=allow)
+
+
 def compute_action_cache(filters, nrs):
     """Precompute the ALLOW bitmap for ``nrs`` against ``filters``.
 
     Returns ``None`` (no cache, every syscall runs the BPF engine) when no
     filter is attached or any attached filter is argument/ip-dependent.
+    The reference the kernel's :func:`compose_action_cache` is tested
+    against: it evaluates the whole stack per number.
     """
     if not filters or not all(_filter_is_nr_only(f) for f in filters):
         return None

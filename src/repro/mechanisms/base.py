@@ -13,19 +13,16 @@ is the whole launch path.
 
 from repro.compiler.pipeline import BastionCompiler
 from repro.vm.cpu import CPU
-from repro.vm.loader import Image
-
-_artifact_cache = {}
+from repro.vm.loader import load_module
 
 
-def artifact_for(app, module, extend_filesystem=False):
-    """Compile (and cache) the BASTION artifact for an app module."""
-    key = (app, id(module), extend_filesystem)
-    if key not in _artifact_cache:
-        _artifact_cache[key] = BastionCompiler(
-            extend_filesystem=extend_filesystem
-        ).compile(module)
-    return _artifact_cache[key]
+def artifact_for(module, extend_filesystem=False):
+    """The BASTION artifact for ``module``, compiled once per module and
+    filesystem-extension setting (:meth:`Module.derive`)."""
+    return module.derive(
+        ("bastion", extend_filesystem),
+        BastionCompiler(extend_filesystem=extend_filesystem).compile,
+    )
 
 
 class ProtectionMechanism:
@@ -52,9 +49,7 @@ class ProtectionMechanism:
     def target_module(self, app, module):
         """The module the process image loads."""
         if self.defense.instrumented:
-            return artifact_for(
-                app, module, self.defense.extend_filesystem
-            ).module
+            return artifact_for(module, self.defense.extend_filesystem).module
         return module
 
     def install(self, kernel, proc, app, module):
@@ -62,8 +57,9 @@ class ProtectionMechanism:
 
     def launch(self, kernel, app, module):
         """Create the protected root process; returns ``(proc, cpu)``."""
-        image = Image(self.target_module(app, module))
-        #: the loaded image, for mechanisms that analyze the binary itself
+        image = load_module(self.target_module(app, module))
+        #: the loaded (shared) image, for mechanisms that analyze the
+        #: binary itself
         self.image = image
         proc = kernel.create_process(app, image)
         cpu = CPU(image, proc, kernel, self.cpu_options())

@@ -27,11 +27,16 @@ class StaticMechanism(ProtectionMechanism):
     """CPU-flag-only defenses: vanilla, CET, LLVM-CFI, DFI."""
 
 
+def allowlist_filter(module):
+    """The module's allowlist filter, built once per module."""
+    return module.derive("allowlist-filter", build_allowlist_filter)
+
+
 class SeccompAllowlistMechanism(ProtectionMechanism):
     """Static syscall allowlist: KILL anything the program never calls."""
 
     def install(self, kernel, proc, app, module):
-        kernel.install_seccomp(proc, build_allowlist_filter(module))
+        kernel.install_seccomp(proc, allowlist_filter(module))
 
 
 class TemporalMechanism(ProtectionMechanism):
@@ -51,12 +56,13 @@ class TemporalMechanism(ProtectionMechanism):
         self.init_only = frozenset()
 
     def install(self, kernel, proc, app, module):
-        kernel.install_seccomp(proc, build_allowlist_filter(module))
+        kernel.install_seccomp(proc, allowlist_filter(module))
         roots = SERVING_ROOTS.get(app)
         if roots is None:
             return
-        serving, init_only, _serving_set = build_serving_phase_filter(
-            module, roots
+        serving, init_only, _serving_set = module.derive(
+            ("temporal-serving", roots),
+            lambda m: build_serving_phase_filter(m, roots),
         )
         self.serving_filter = serving
         self.init_only = frozenset(init_only)

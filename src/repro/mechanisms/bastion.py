@@ -14,6 +14,6 @@ class BastionMechanism(ProtectionMechanism):
     """Full BASTION: instrumented binary + ptrace monitor + policy."""
 
     def launch(self, kernel, app, module):
-        artifact = artifact_for(app, module, self.defense.extend_filesystem)
+        artifact = artifact_for(module, self.defense.extend_filesystem)
         self.monitor = BastionMonitor(artifact, policy=self.defense.policy)
         return self.monitor.launch(kernel, cpu_options=self.cpu_options())

@@ -64,13 +64,20 @@ class BinaryOnlyMechanism(ProtectionMechanism):
         self.kills = 0
 
     def install(self, kernel, proc, app, module):
-        # ``launch`` stashed the image it loaded — recover from exactly
-        # the bytes the process runs, nothing else.
-        recovery = recover_image_for(self.image.module)
-        policy = policy_for_image(self.image.module)
+        # ``launch`` stashed the shared image it loaded; the recovery is
+        # derived from that same image object — exactly the bytes the
+        # process runs, nothing else.
+        loaded = self.image.module
+        recovery = recover_image_for(loaded)
+        policy = policy_for_image(loaded)
         self.recovery = recovery
         self.policy = policy
-        kernel.install_seccomp(proc, build_recovered_filter(policy))
+        kernel.install_seccomp(
+            proc,
+            loaded.derive(
+                "binary-filter", lambda m: build_recovered_filter(policy)
+            ),
+        )
 
         costs = kernel.costs
         call_kinds = policy.call_kinds

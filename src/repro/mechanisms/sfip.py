@@ -48,26 +48,20 @@ from repro.errors import ProcessKilled
 from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.policy import START, build_presence_filter
 
-_sfip_policy_cache = {}
-
-
-def sfip_policy_for(app, module):
-    """The flowgraph-produced policy for the *vanilla* module (cached).
+def sfip_policy_for(module):
+    """The flowgraph-produced policy for the *vanilla* module.
 
     SFIP needs no instrumentation: the state machine only observes
-    dispatches.  The metadata comes from the cached BASTION compile; the
+    dispatches.  The metadata comes from the shared BASTION compile; the
     flow engine runs over the vanilla module the mechanism actually
-    loads (names and call structure are identical either way).
+    loads (names and call structure are identical either way).  Built
+    once per module (:meth:`Module.derive`).
     """
     from repro.analyze.flowgraph import compile_policy
 
-    key = (app, id(module))
-    cached = _sfip_policy_cache.get(key)
-    if cached is None or cached[0] is not module:
-        artifact = artifact_for(app, module)
-        cached = (module, compile_policy(artifact, module=module))
-        _sfip_policy_cache[key] = cached
-    return cached[1]
+    return module.derive(
+        "sfip-policy", lambda m: compile_policy(artifact_for(m), module=m)
+    )
 
 
 class SfipMechanism(ProtectionMechanism):
@@ -86,10 +80,15 @@ class SfipMechanism(ProtectionMechanism):
         self.kills = 0
 
     def install(self, kernel, proc, app, module):
-        policy = sfip_policy_for(app, module)
+        policy = sfip_policy_for(module)
         self.policy = policy
+        label = self.reason
         kernel.install_seccomp(
-            proc, build_presence_filter(policy, label=self.reason)
+            proc,
+            module.derive(
+                ("sfip-filter", label),
+                lambda m: build_presence_filter(policy, label=label),
+            ),
         )
 
         # precomputed {prev: {next: frozenset(origins)}} probe table

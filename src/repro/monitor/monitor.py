@@ -203,6 +203,11 @@ class BastionMonitor:
         - not-callable syscalls (never used by the program): KILL;
         - used sensitive syscalls: TRACE (stop into this monitor);
         - everything else: ALLOW.
+
+        The filter is memoized on the instrumented module under its full
+        action map, so every monitor of one artifact and policy shares
+        one filter (and its ALLOW set) while a metadata edit still gets a
+        fresh one.
         """
         actions = {}
         used = self.metadata.call_types
@@ -218,7 +223,11 @@ class BastionMonitor:
                     actions[entry.nr] = SECCOMP_RET_TRACE
             elif entry.name in sensitive:
                 actions[entry.nr] = SECCOMP_RET_TRACE
-        return build_action_filter(actions, label="bastion:%s" % self.metadata.program)
+        label = "bastion:%s" % self.metadata.program
+        return self.artifact.module.derive(
+            ("bastion-filter", label, tuple(sorted(actions.items()))),
+            lambda m: build_action_filter(actions, label=label),
+        )
 
     def attach(self, kernel, proc):
         """Install this monitor on an existing process of ``kernel``.

@@ -134,8 +134,15 @@ class Image:
 
 
 def load_module(module, memory=None):
-    """Validate + lay out ``module``; optionally write globals to memory."""
-    image = Image(module)
+    """The validated, laid-out image of ``module``; optionally write its
+    globals to ``memory``.
+
+    The image is built once per module (:meth:`Module.derive`) and shared
+    by every launch: an :class:`Image` is read-only after construction,
+    and per-process state (memory, registers, predecoded closures) lives
+    elsewhere.  A changed module is re-validated on the next call.
+    """
+    image = module.derive("image", Image)
     if memory is not None:
         image.write_globals(memory)
     return image

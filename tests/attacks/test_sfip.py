@@ -184,7 +184,7 @@ class TestDivergences:
 
         spec = attack_by_name("rop_execute_user_command")
         module = _target_module(spec.target)
-        policy = sfip_policy_for(spec.target, module)
+        policy = sfip_policy_for(module)
         assert "execve" in policy.presence
         legal_prevs = {
             prev
