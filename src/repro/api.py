@@ -30,16 +30,11 @@ returns exactly the records ``BENCH_<pr>.json`` serializes (see
 
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (
-    CONFIGS,
-    DefenseConfig,
-    SIM_HZ,
-    _run_app,
-    run_app_scheduled,
-)
+from repro.bench.harness import CONFIGS, SIM_HZ, DefenseConfig, run_app
 from repro.compiler.pipeline import BastionCompiler
 from repro.monitor.monitor import SyscallIntegrityViolation
 from repro.monitor.policy import ContextPolicy
+from repro.sched import DEFAULT_QUANTUM
 
 
 @dataclass(frozen=True)
@@ -248,18 +243,15 @@ def run(
     if quantum is not None:
         scheduled = True
     if scheduled:
-        bench = run_app_scheduled(
-            app,
-            config=defense,
-            scale=scale,
-            app_config=app_config,
-            workload=workload,
-            quantum=quantum,
-        )
-    else:
-        bench = _run_app(
-            app, config=defense, scale=scale, app_config=app_config, workload=workload
-        )
+        quantum = quantum or DEFAULT_QUANTUM
+    bench = run_app(
+        app,
+        config=defense,
+        scale=scale,
+        app_config=app_config,
+        workload=workload,
+        quantum=quantum,
+    )
 
     baseline = None
     overhead = None
@@ -271,7 +263,7 @@ def run(
     ):
         key = (app, scale, app_config)
         if key not in _baseline_cache:
-            _baseline_cache[key] = _run_app(
+            _baseline_cache[key] = run_app(
                 app, config="vanilla", scale=scale, app_config=app_config
             )
         baseline = _baseline_cache[key]

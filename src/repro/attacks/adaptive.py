@@ -24,15 +24,9 @@ mounted on the Control Jujutsu scenario against mini-NGINX:
 
 from dataclasses import dataclass
 
-from repro.attacks.catalog import attack_by_name
-from repro.attacks.primitives import AttackEnv
-from repro.attacks.runner import _target_module, attack_target
-from repro.kernel.kernel import Kernel
-from repro.mechanisms.base import artifact_for
-from repro.monitor.monitor import BastionMonitor
+from repro.attacks.runner import TARGETS, bastion_defense, launch
 from repro.monitor.policy import ContextPolicy
 from repro.runtime.shadow_table import COPIES_LAYOUT, ShadowTable, ShadowTableLayout
-from repro.vm.cpu import CPUOptions
 from repro.vm.memory import WORD
 
 
@@ -63,20 +57,27 @@ class _CountingMemory:
         self.env.proc.memory.write_cstr(addr, text)
 
 
+def _launch_nginx():
+    """Full BASTION (CET off) on the nginx target, plus a write counter."""
+    env = launch("nginx", bastion_defense(ContextPolicy.full()))
+    return env, _CountingMemory(env)
+
+
+def _run(env):
+    TARGETS["nginx"].attach_workload(env.kernel, env.proc)
+    env.cpu.run()
+
+
 def _launch_jujutsu(stage):
     """Run Control Jujutsu's trigger with a custom corruption payload."""
-    spec = attack_by_name("control_jujutsu")
-    kernel = Kernel()
-    attack_target("nginx").prepare_env(kernel)
-    artifact = artifact_for(_target_module("nginx"))
-    monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
-    proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
-    env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
-    counter = _CountingMemory(env)
+    env, counter = _launch_nginx()
     env.on_hook("ngx_output_chain_icall", lambda e: stage(e, counter))
-    attack_target("nginx").attach_workload(kernel, proc)
-    cpu.run()
-    return env, monitor, counter
+    _run(env)
+    return env, counter
+
+
+def _blocked_by(monitor):
+    return monitor.violations[0].context if monitor.violations else None
 
 
 def _forge_payload(env, counter, shadow_base):
@@ -117,11 +118,11 @@ def oracle_forger():
     def stage(env, counter):
         _forge_payload(env, counter, COPIES_LAYOUT.base)
 
-    env, monitor, counter = _launch_jujutsu(stage)
+    env, counter = _launch_jujutsu(stage)
     return AdaptiveOutcome(
         name="oracle_forger",
         succeeded=env.executed("/bin/sh"),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
+        blocked_by=_blocked_by(env.monitor),
         attacker_writes=counter.writes,
         detail="attacker knows the shadow region base and hash layout",
     )
@@ -132,11 +133,11 @@ def blind_forger(guess_offset=1 << 30):
     def stage(env, counter):
         _forge_payload(env, counter, COPIES_LAYOUT.base + guess_offset)
 
-    env, monitor, counter = _launch_jujutsu(stage)
+    env, counter = _launch_jujutsu(stage)
     return AdaptiveOutcome(
         name="blind_forger",
         succeeded=env.executed("/bin/sh"),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
+        blocked_by=_blocked_by(env.monitor),
         attacker_writes=counter.writes,
         detail="shadow base guessed %#x off" % guess_offset,
     )
@@ -152,13 +153,7 @@ def constant_violator():
     expected values are not *in* the application's address space, so no
     number of writes helps.
     """
-    kernel = Kernel()
-    attack_target("nginx").prepare_env(kernel)
-    artifact = artifact_for(_target_module("nginx"))
-    monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
-    proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
-    env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
-    counter = _CountingMemory(env)
+    env, counter = _launch_nginx()
 
     # Corrupt the wrapper's prot *parameter slot* right at its syscall
     # instruction — after the legitimate constant was passed, before the
@@ -166,13 +161,12 @@ def constant_violator():
     def at_syscall(c):
         counter.write(c.local_addr("a2"), 7)
 
-    cpu.breakpoints[env.func_addr("mprotect")] = at_syscall
-    attack_target("nginx").attach_workload(kernel, proc)
-    cpu.run()
+    env.cpu.breakpoints[env.func_addr("mprotect")] = at_syscall
+    _run(env)
     return AdaptiveOutcome(
         name="constant_violator",
         succeeded=env.made_memory_executable(),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
+        blocked_by=_blocked_by(env.monitor),
         attacker_writes=counter.writes,
         detail="constant argument pinned in monitor metadata",
     )

@@ -18,6 +18,7 @@ outcomes (``run_attack(quantum=...)``).
 import enum
 from dataclasses import dataclass, field
 
+from repro.api import ProtectConfig
 from repro.apps.browser import BrowserConfig, build_browser
 from repro.apps.httpd import HTDOCS, HTTPD_PORT, HttpdConfig, build_httpd
 from repro.apps.mediasrv import MEDIA_FILE, MediaConfig, build_mediasrv
@@ -25,12 +26,9 @@ from repro.apps.nginx import NginxConfig, build_nginx
 from repro.apps.workloads import SimpleServerWorkload, WrkWorkload
 from repro.attacks.catalog import CATALOG
 from repro.attacks.primitives import AttackEnv
+from repro.bench.harness import DefenseConfig, _setup_nginx_env
 from repro.kernel.kernel import Kernel
-from repro.mechanisms.base import artifact_for
-from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
-from repro.vm.cpu import CPU, CPUOptions
-from repro.vm.loader import load_module
 
 
 class BlockingContext(str, enum.Enum):
@@ -95,18 +93,12 @@ class AttackTarget:
             self.workload().attach(kernel, proc)
 
 
-def _bench_nginx_env(kernel):
-    from repro.bench.harness import _setup_nginx_env
-
-    _setup_nginx_env(kernel)
-
-
 TARGETS = {
     "nginx": AttackTarget(
         name="nginx",
         build=lambda: build_nginx(NginxConfig(workers=2, pools=4, guards=3)),
         workload=lambda: WrkWorkload(connections=2, requests_per_connection=3),
-        env_base=_bench_nginx_env,
+        env_base=_setup_nginx_env,
         env_dirs=("/etc",),
         env_files=(
             ("/etc/shadow", b"root:$6$secret\n", 0o600),
@@ -238,51 +230,62 @@ def classify_blocking(monitor, proc, status):
     return None, []
 
 
-def run_attack(
-    spec,
-    policy=None,
-    defense_name=None,
-    cpu_options=None,
-    defense=None,
-    quantum=None,
-):
-    """Run one attack under ``policy`` (None = undefended).
+#: the undefended run: no mechanism armed, CET off
+UNDEFENDED = DefenseConfig("none")
 
-    CET is disabled by default: the Table 6 study evaluates BASTION's
-    contexts on their own (§10.1 explicitly covers the no-CET case).  Pass
-    explicit ``cpu_options`` to arm hardware/compiler baselines instead
-    (``CPUOptions(llvm_cfi=True)``, ``CPUOptions(cet=True)``), or a
-    ``defense`` DefenseConfig to launch through a registered
-    :class:`~repro.mechanisms.ProtectionMechanism` (the seccomp-allowlist
-    and binary-only baselines reach the attack study this way).
+
+def bastion_defense(policy, extend_filesystem=False):
+    """BASTION enforcing ``policy`` with CET off.
+
+    The Table 6 study evaluates BASTION's contexts on their own (§10.1
+    explicitly covers the no-CET case).
+    """
+    return ProtectConfig(
+        policy=policy, cet=False, extend_filesystem=extend_filesystem
+    ).defense()
+
+
+def launch(target, defense):
+    """Launch the :data:`TARGETS` entry ``target`` under ``defense``.
+
+    The one launch path of every attack run: a fresh kernel with the
+    target's environment, then the defense's
+    :class:`~repro.mechanisms.ProtectionMechanism` — the seam the bench
+    harness launches through too.  Returns the attacker's
+    :class:`AttackEnv`; its ``monitor`` is the mechanism's BASTION monitor,
+    or None.
+    """
+    kernel = Kernel()
+    TARGETS[target].prepare_env(kernel)
+    mechanism = defense.mechanism()
+    proc, cpu = mechanism.launch(kernel, target, _target_module(target))
+    return AttackEnv(
+        kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=mechanism.monitor
+    )
+
+
+def run_attack(spec, policy=None, defense_name=None, *, defense=None, quantum=None):
+    """Run one attack under ``policy`` or ``defense`` (neither = undefended).
+
+    ``policy`` is a BASTION :class:`ContextPolicy`, enforced with CET off
+    (:func:`bastion_defense`); ``defense`` is any DefenseConfig — a
+    registered mechanism (``CONFIGS["sfip"]``), a hardware/compiler
+    baseline (``CONFIGS["cet"]``, ``CONFIGS["llvm_cfi"]``) or a BASTION
+    config (``CONFIGS["cache_off"]``).  Both launch through :func:`launch`.
 
     ``quantum`` switches the run onto the preemptive scheduler with that
     cycle quantum; verdicts are quantum-independent (the fuzz oracle's
     determinism rests on this, see tests/attacks/test_scheduled.py).
     """
-    target = TARGETS[spec.target]
-    kernel = Kernel()
-    target.prepare_env(kernel)
-    options = cpu_options or CPUOptions(cet=False)
-
-    module = _target_module(spec.target)
-    monitor = None
     if policy is not None:
-        artifact = artifact_for(module, spec.needs_fs_extension)
-        monitor = BastionMonitor(artifact, policy=policy)
-        proc, cpu = monitor.launch(kernel, cpu_options=options)
-    elif defense is not None:
-        mechanism = defense.mechanism()
-        proc, cpu = mechanism.launch(kernel, spec.target, module)
-    else:
-        image = load_module(module)
-        proc = kernel.create_process(spec.target, image)
-        cpu = CPU(image, proc, kernel, options)
-
-    env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
+        defense = bastion_defense(policy, spec.needs_fs_extension)
+    elif defense is None:
+        defense = UNDEFENDED
+    env = launch(spec.target, defense)
+    kernel, proc, cpu = env.kernel, env.proc, env.cpu
     spec.stage(env)
 
-    target.attach_workload(kernel, proc)
+    TARGETS[spec.target].attach_workload(kernel, proc)
 
     if quantum is None:
         status = cpu.run()
@@ -301,7 +304,7 @@ def run_attack(
         stage_cycles=kernel.telemetry.stage_cycles(),
         syscall_counts=dict(proc.syscall_counts),
     )
-    blocked_by, violations = classify_blocking(monitor, proc, status)
+    blocked_by, violations = classify_blocking(env.monitor, proc, status)
     if blocked_by is not None:
         outcome.blocked = True
         outcome.blocked_by = blocked_by

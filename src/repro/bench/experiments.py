@@ -9,15 +9,10 @@ from dataclasses import dataclass, field
 
 from repro.attacks.catalog import CATALOG
 from repro.attacks.runner import run_attack, table6_matrix
-from repro.bench.harness import (
-    FIGURE3_LADDER,
-    build_app,
-    run_app,
-    run_app_scheduled,
-)
+from repro.bench.harness import CONFIGS, FIGURE3_LADDER, build_app, run_app
 from repro.compiler.pipeline import BastionCompiler
+from repro.sched import DEFAULT_QUANTUM
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
-from repro.vm.cpu import CPUOptions
 
 APPS = ("nginx", "sqlite", "vsftpd")
 
@@ -55,14 +50,6 @@ class PerfSweep:
         if self.app == "sqlite":
             return result.notpm()
         return result.transfer_seconds()
-
-    @property
-    def metric_name(self):
-        return {
-            "nginx": "MB/sec",
-            "sqlite": "NOTPM",
-            "vsftpd": "sec/transfer",
-        }[self.app]
 
 
 def perf_sweep(scale=1.0, configs=FIGURE3_LADDER, apps=APPS):
@@ -123,11 +110,12 @@ def scheduler_sweep(scale=1.0, workers=SCHEDULER_WORKERS, configs=SCHEDULER_CONF
         sweep[count] = {}
         for config in configs:
             workload = ConcurrentWrkWorkload(connections=connections)
-            sweep[count][config] = run_app_scheduled(
+            sweep[count][config] = run_app(
                 "nginx",
                 config=config,
                 app_config=NginxConfig(workers=count, master_serves=False),
                 workload=workload,
+                quantum=DEFAULT_QUANTUM,
             )
     return sweep
 
@@ -204,14 +192,10 @@ def security_baseline_comparison(catalog=None):
     checks), recording whether each baseline stopped it — BASTION vs
     binary-only vs SFIP is the filtering-family ladder in one table.
     """
-    from repro.bench.harness import CONFIGS
-
     rows = []
     for spec in catalog or CATALOG:
-        cfi = run_attack(
-            spec, None, "llvm_cfi", cpu_options=CPUOptions(llvm_cfi=True)
-        )
-        cet = run_attack(spec, None, "cet", cpu_options=CPUOptions(cet=True))
+        cfi = run_attack(spec, None, "llvm_cfi", defense=CONFIGS["llvm_cfi"])
+        cet = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
         seccomp = run_attack(
             spec, None, "seccomp_allowlist",
             defense=CONFIGS["seccomp_allowlist"],
@@ -327,17 +311,6 @@ def adaptive_study_rows():
     from repro.attacks.adaptive import adaptive_study
 
     return adaptive_study()
-
-
-def extended_table6():
-    """Table 6 plus the extension scenarios (extra ROP variants)."""
-    return table6_matrix(include_extra=True)
-
-
-def ablation_unwind_depth(scale=0.5):
-    """Stack-depth statistics for the §9.2 call-depth observation."""
-    _columns, depth_stats = table4(scale)
-    return depth_stats
 
 
 # ---------------------------------------------------------------------------

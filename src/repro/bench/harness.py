@@ -23,6 +23,7 @@ from repro.apps.vsftpd import FILE_PATH, VsftpdConfig, build_vsftpd
 from repro.apps.workloads import Dbt2Workload, DkftpbenchWorkload, WrkWorkload
 from repro.kernel.kernel import Kernel
 from repro.monitor.policy import ContextPolicy
+from repro.sched import Scheduler
 from repro.vm.cpu import CPUOptions
 
 #: simulated clock used to convert cycles into seconds for display
@@ -315,60 +316,6 @@ def build_app(app, app_config=None):
     return _module_cache[key]
 
 
-def _warn_deprecated(message):
-    """The harness's single deprecation-warning emission point.
-
-    Every deprecated harness surface funnels through here so the message
-    format, category, and stacklevel stay consistent (and tests can pin
-    "exactly one emission site").  ``stacklevel=3`` attributes the warning
-    to the caller of the deprecated entry point, not to this helper.
-    Removal horizons are documented in docs/fastpath.md.
-    """
-    import warnings
-
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
-    """Run one (application, defense configuration) pair to completion.
-
-    Args:
-        app: 'nginx' | 'sqlite' | 'vsftpd'.
-        config: a name from :data:`CONFIGS` or a :class:`DefenseConfig`.
-        scale: workload size multiplier (tests use ~0.1, benches 1.0+).
-        app_config: deprecated here — use :func:`repro.api.run`.
-        workload: deprecated here — use :func:`repro.api.run`.
-
-    Returns:
-        :class:`RunResult`
-    """
-    if app_config is not None or workload is not None:
-        _warn_deprecated(
-            "run_app(app_config=..., workload=...) is deprecated; "
-            "use repro.api.run(app, workload=..., app_config=...) instead"
-        )
-    return _run_app(
-        app, config=config, scale=scale, app_config=app_config, workload=workload
-    )
-
-
-def _prepare(app, defense, app_config):
-    """Shared launch plumbing: kernel + env + mechanism + root proc/cpu.
-
-    Defense-agnostic by construction: every config — BASTION and all the
-    baselines — launches through its :class:`ProtectionMechanism`.
-    """
-    entry = _APPS[app]
-    module = build_app(app, app_config)
-
-    kernel = Kernel()
-    entry["env"](kernel)
-
-    mechanism = defense.mechanism()
-    proc, cpu = mechanism.launch(kernel, app, module)
-    return entry, kernel, mechanism.monitor, proc, cpu
-
-
 def _attach_monitor_stats(result, monitor, proc):
     result.hook_counts = dict(monitor.hook_counts)
     result.hook_total = monitor.hook_count
@@ -381,78 +328,65 @@ def _attach_monitor_stats(result, monitor, proc):
     result.monitor_stats["seccomp_cache_misses"] = proc.seccomp_cache_misses
 
 
-def _run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
-    """Internal, warning-free implementation behind :func:`run_app`."""
-    defense = CONFIGS[config] if isinstance(config, str) else config
-    entry, kernel, monitor, proc, cpu = _prepare(app, defense, app_config)
-
-    wl = workload or entry["workload"](scale)
-    wl.attach(kernel, proc)
-
-    status = cpu.run()
-
-    steady_start = wl.steady_start_cycles or 0
-    result = RunResult(
-        app=app,
-        config=defense.name,
-        status=status,
-        total_cycles=proc.ledger.cycles,
-        steady_cycles=proc.ledger.cycles - steady_start,
-        init_cycles=steady_start,
-        work_units=entry["work_units"](wl),
-        bytes_sent=kernel.net.bytes_sent,
-        syscall_counts=dict(proc.syscall_counts),
-        ledger_breakdown=dict(proc.ledger.by_category),
-        stage_cycles=kernel.telemetry.stage_cycles(),
-    )
-    if monitor is not None:
-        _attach_monitor_stats(result, monitor, proc)
-    return result
-
-
-def run_app_scheduled(
-    app,
-    config="vanilla",
-    scale=1.0,
-    app_config=None,
-    workload=None,
-    quantum=None,
+def run_app(
+    app, config="vanilla", scale=1.0, *, app_config=None, workload=None, quantum=None
 ):
-    """Run one (app, defense) pair under the preemptive scheduler.
+    """Run one (application, defense configuration) pair to completion.
 
-    The root process is enqueued on a :class:`repro.sched.Scheduler`;
-    clone()d children run interleaved with it, blocking syscalls park
-    their task, and time is the scheduler's global cycle clock.  Use a
-    concurrent workload (e.g. ``ConcurrentWrkWorkload``) plus a
-    ``master_serves=False`` app config to exercise a real worker pool.
+    Every config — BASTION and all the baselines — launches through its
+    :class:`ProtectionMechanism`; the harness holds no per-defense branches.
 
-    Returns a :class:`RunResult` whose ``latency`` (when the workload
-    samples it), ``sched_stats``, and per-pid ``statuses`` are filled in;
-    cycle totals are global-clock based and syscall counts / ledger
-    breakdowns aggregate over the whole process tree.
+    Args:
+        app: 'nginx' | 'sqlite' | 'vsftpd'.
+        config: a name from :data:`CONFIGS` or a :class:`DefenseConfig`.
+        scale: workload size multiplier (tests use ~0.1, benches 1.0+).
+        app_config: application build-time configuration override.
+        workload: workload object (default: the app's, sized by ``scale``).
+        quantum: ``None`` runs the root process to completion; a cycle
+            quantum runs the process tree on the preemptive
+            :class:`repro.sched.Scheduler` instead.  clone()d children
+            then run interleaved with it, blocking syscalls park their
+            task, and time is the scheduler's global cycle clock.  Use a
+            concurrent workload (e.g. ``ConcurrentWrkWorkload``) plus a
+            ``master_serves=False`` app config to exercise a worker pool.
+
+    Returns:
+        :class:`RunResult`.  Scheduled runs also fill ``latency`` (when the
+        workload samples it), ``sched_stats`` and per-pid ``statuses``;
+        their syscall counts and ledger breakdowns aggregate over the
+        whole process tree.
     """
-    from repro.sched import DEFAULT_QUANTUM, Scheduler
-
     defense = CONFIGS[config] if isinstance(config, str) else config
-    entry, kernel, monitor, proc, cpu = _prepare(app, defense, app_config)
+    entry = _APPS[app]
+    module = build_app(app, app_config)
+    kernel = Kernel()
+    entry["env"](kernel)
+    mechanism = defense.mechanism()
+    proc, cpu = mechanism.launch(kernel, app, module)
 
     wl = workload or entry["workload"](scale)
     wl.attach(kernel, proc)
 
-    sched = Scheduler(kernel, quantum=quantum or DEFAULT_QUANTUM)
-    sched.add(proc, cpu)
-    statuses = sched.run()
-    status = statuses[proc.pid]
+    if quantum is None:
+        status = cpu.run()
+        total = proc.ledger.cycles
+        procs = (proc,)
+    else:
+        sched = Scheduler(kernel, quantum=quantum)
+        sched.add(proc, cpu)
+        statuses = sched.run()
+        status = statuses[proc.pid]
+        total = sched.now()
+        procs = kernel.processes.values()
 
-    total = sched.now()
-    steady_start = wl.steady_start_cycles or 0
     syscall_counts = {}
     breakdown = {}
-    for p in kernel.processes.values():
+    for p in procs:
         for name, count in p.syscall_counts.items():
             syscall_counts[name] = syscall_counts.get(name, 0) + count
         for category, cycles in p.ledger.by_category.items():
             breakdown[category] = breakdown.get(category, 0) + cycles
+    steady_start = wl.steady_start_cycles or 0
     result = RunResult(
         app=app,
         config=defense.name,
@@ -464,12 +398,13 @@ def run_app_scheduled(
         bytes_sent=kernel.net.bytes_sent,
         syscall_counts=syscall_counts,
         ledger_breakdown=breakdown,
-        sched_stats=sched.stats.as_dict(),
-        statuses={pid: st.kind for pid, st in statuses.items()},
         stage_cycles=kernel.telemetry.stage_cycles(),
     )
-    if getattr(wl, "latency", None) is not None:
-        result.latency = wl.latency.summary()
-    if monitor is not None:
-        _attach_monitor_stats(result, monitor, proc)
+    if quantum is not None:
+        result.sched_stats = sched.stats.as_dict()
+        result.statuses = {pid: st.kind for pid, st in statuses.items()}
+        if getattr(wl, "latency", None) is not None:
+            result.latency = wl.latency.summary()
+    if mechanism.monitor is not None:
+        _attach_monitor_stats(result, mechanism.monitor, proc)
     return result

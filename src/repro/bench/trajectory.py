@@ -145,7 +145,8 @@ def _measure_cell(workers, config, scale, clock):
     """One matrix cell: deterministic run fields + min-of-repeats wall."""
     from repro.apps.nginx import NginxConfig
     from repro.apps.workloads import ConcurrentWrkWorkload
-    from repro.bench.harness import run_app_scheduled
+    from repro.bench.harness import run_app
+    from repro.sched import DEFAULT_QUANTUM
 
     connections = max(int(round(40 * scale)), 4)
     best_wall = None
@@ -154,11 +155,12 @@ def _measure_cell(workers, config, scale, clock):
         workload = ConcurrentWrkWorkload(connections=connections)
         gc.collect()
         start = clock()
-        result = run_app_scheduled(
+        result = run_app(
             TRAJECTORY_APP,
             config=config,
             app_config=NginxConfig(workers=workers, master_serves=False),
             workload=workload,
+            quantum=DEFAULT_QUANTUM,
         )
         elapsed = clock() - start
         if best_wall is None or elapsed < best_wall:
@@ -246,7 +248,8 @@ def _measure_event_cell(connections, config, clock):
     """
     from repro.apps.nginx import NginxConfig
     from repro.apps.workloads import ConcurrentWrkWorkload
-    from repro.bench.harness import run_app_scheduled
+    from repro.bench.harness import run_app
+    from repro.sched import DEFAULT_QUANTUM
 
     repeats = EVENT_REPEATS.get(connections, 1)
     best_wall = None
@@ -259,13 +262,14 @@ def _measure_event_cell(connections, config, clock):
         )
         gc.collect()
         start = clock()
-        result = run_app_scheduled(
+        result = run_app(
             TRAJECTORY_APP,
             config=config,
             app_config=NginxConfig(
                 workers=1, master_serves=False, event_loop=True
             ),
             workload=workload,
+            quantum=DEFAULT_QUANTUM,
         )
         elapsed = clock() - start
         if best_wall is None or elapsed < best_wall:

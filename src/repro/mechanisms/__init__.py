@@ -3,7 +3,8 @@
 ``mechanism_for(defense)`` maps a :class:`~repro.bench.harness.
 DefenseConfig` to the :class:`ProtectionMechanism` that implements it;
 ``mechanism.launch(kernel, app, module)`` is the entire launch path the
-bench harness uses, for BASTION and every baseline alike.
+bench harness and the attack runner use, for BASTION and every baseline
+alike.
 
 All named-mechanism registration lives in
 :mod:`repro.mechanisms.registry` — one :class:`~repro.mechanisms.
@@ -11,35 +12,18 @@ registry.MechanismSpec` row per mechanism, from which
 :data:`MECHANISM_NAMES`, :func:`defense_for_mechanism`,
 ``bench.harness.CONFIGS``'s baseline slice, ``mechanism_for``, and the
 fuzz oracle's matrix are all derived.  This module re-exports the
-registry surface (and the historical ``_MECHANISM_DEFENSES`` dict, now
-derived) so existing imports keep working.
+registry surface.
 """
 
-from repro.mechanisms.base import (
-    ProtectionMechanism,
-    artifact_for,
-    mechanism_for,
-)
+from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.mechanisms.registry import (
     FUZZ_MATRIX,
     MECHANISM_NAMES,
     MechanismSpec,
     defense_for_mechanism,
+    mechanism_for,
     named_defense_configs,
 )
-
-from repro.mechanisms.registry import _ORDER as _REGISTRY_ORDER
-from repro.mechanisms.registry import _REGISTRY
-
-#: deprecated: DefenseConfig kwargs per named non-BASTION mechanism.
-#: Kept as a registry-derived view for old importers; register a
-#: MechanismSpec in repro.mechanisms.registry instead of editing this.
-_MECHANISM_DEFENSES = {
-    name: dict(_REGISTRY[name].defense_kwargs)
-    for name in _REGISTRY_ORDER
-    if _REGISTRY[name].defense_kwargs is not None
-}
-
 from repro.mechanisms.bastion import BastionMechanism
 from repro.mechanisms.baselines import (
     SERVING_ROOTS,

@@ -6,9 +6,10 @@ through exactly one seam: a :class:`ProtectionMechanism` builds the target
 module, launches the root process, and installs whatever it enforces —
 seccomp filters, a ptrace monitor, dispatch-pipeline hooks — via the
 kernel's public surfaces (``kernel.install_seccomp``,
-``kernel.pipeline.insert``, ``proc.tracer``).  The bench harness holds no
-per-defense branches: ``mechanism_for(defense).launch(kernel, app, module)``
-is the whole launch path.
+``kernel.pipeline.insert``, ``proc.tracer``).  Neither the bench harness
+nor the attack runner holds per-defense branches:
+``defense.mechanism().launch(kernel, app, module)`` is the whole launch
+path of both.
 """
 
 from repro.compiler.pipeline import BastionCompiler
@@ -66,17 +67,3 @@ class ProtectionMechanism:
         self.install(kernel, proc, app, module)
         return proc, cpu
 
-
-def mechanism_for(defense):
-    """The :class:`ProtectionMechanism` implementing a DefenseConfig.
-
-    Registry-driven since the repro.policy refactor: every named
-    mechanism is a :class:`~repro.mechanisms.registry.MechanismSpec` row
-    in :mod:`repro.mechanisms.registry`; this is a thin re-export kept
-    for its historical import path.
-    """
-    # imported here: registry resolves mechanism classes lazily, and
-    # bastion.py/baselines.py import this module's base class
-    from repro.mechanisms.registry import mechanism_for as _registry_lookup
-
-    return _registry_lookup(defense)

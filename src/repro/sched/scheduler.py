@@ -270,21 +270,3 @@ class Scheduler:
         proc.state = REAPED if proc.reaped else ZOMBIE
         if task.owns_stack:
             self.kernel.stacks.release(proc.pid)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def runnable_count(self):
-        return len(self._runq)
-
-    @property
-    def blocked_count(self):
-        return len(self._blocked)
-
-    def state_of(self, pid):
-        task = self.tasks.get(pid)
-        if task is None:
-            return self.kernel.processes[pid].state if pid in self.kernel.processes else None
-        return task.proc.state

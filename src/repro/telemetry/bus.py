@@ -160,9 +160,6 @@ class TelemetryBus:
     def get(self, key, default=0):
         return self.counters.get(key, default)
 
-    def set_count(self, key, value):
-        self.counters[key] = value
-
     def record_max(self, key, value):
         maxima = self.maxima
         if value > maxima.get(key, 0):

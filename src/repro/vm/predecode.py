@@ -139,18 +139,6 @@ def decode_function(cpu, func):
 
         return rd
 
-    def store_local(off):
-        """Write a (wrapped) value into the current frame's slot."""
-
-        def wr(value):
-            addr = cpu.fp - off
-            if addr >= 0 and not addr & 7:
-                words[addr] = value
-            else:
-                mem_write(addr, value)
-
-        return wr
-
     # -- per-instruction factories ------------------------------------------
 
     def make_const(instr):

@@ -10,6 +10,7 @@ from repro.baselines.llvm_cfi import (
 )
 from repro.baselines.dfi import dfi_options
 from repro.baselines.seccomp_filter import build_allowlist_filter, used_syscalls
+from repro.bench.harness import CONFIGS
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.seccomp import (
     evaluate_filters,
@@ -17,7 +18,6 @@ from repro.kernel.seccomp import (
     SECCOMP_RET_KILL_PROCESS,
 )
 from repro.syscalls.table import nr_of
-from repro.vm.cpu import CPUOptions
 from tests.conftest import make_wrapper
 
 
@@ -93,7 +93,7 @@ class TestLLVMCFI:
         for name in ("coop_chrome", "control_jujutsu", "aocr_apache"):
             spec = attack_by_name(name)
             outcome = run_attack(
-                spec, None, "llvm_cfi", cpu_options=CPUOptions(llvm_cfi=True)
+                spec, None, "llvm_cfi", defense=CONFIGS["llvm_cfi"]
             )
             assert outcome.succeeded, name
             assert not outcome.blocked, name
@@ -101,10 +101,8 @@ class TestLLVMCFI:
     def test_cet_blocks_rop_but_not_data_attacks(self):
         """§10.1: CET stops ROP; §10.3 attacks sail through it."""
         rop = attack_by_name("rop_execute_user_command")
-        outcome = run_attack(rop, None, "cet", cpu_options=CPUOptions(cet=True))
+        outcome = run_attack(rop, None, "cet", defense=CONFIGS["cet"])
         assert outcome.blocked and outcome.blocked_by == "cet"
         data_only = attack_by_name("aocr_nginx_attack2")
-        outcome = run_attack(
-            data_only, None, "cet", cpu_options=CPUOptions(cet=True)
-        )
+        outcome = run_attack(data_only, None, "cet", defense=CONFIGS["cet"])
         assert outcome.succeeded

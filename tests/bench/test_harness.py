@@ -1,6 +1,8 @@
 """Tests for the benchmark harness and experiment generators."""
 
+import warnings
 
+from repro.apps.workloads import WrkWorkload
 from repro.bench.harness import (
     CONFIGS,
     DefenseConfig,
@@ -77,6 +79,16 @@ class TestRunApp:
             result = run_app(app, "fs_full", scale=0.05)
             assert result.ok, (app, result.status)
             assert not result.violations, (app, result.violations[:1])
+
+    def test_plain_and_workload_calls_do_not_warn(self):
+        """``workload=`` / ``app_config=`` are ordinary keywords of the one
+        run function, not a deprecated surface."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_app("nginx", "vanilla", scale=0.05)
+            workload = WrkWorkload(connections=2, requests_per_connection=2)
+            result = run_app("nginx", "vanilla", workload=workload)
+        assert result.work_units == 4
 
 
 class TestTable5Static:

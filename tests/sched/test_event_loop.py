@@ -10,7 +10,8 @@ the scheduler quantum.
 
 from repro.apps.nginx import NginxConfig
 from repro.apps.workloads import ConcurrentWrkWorkload
-from repro.bench.harness import run_app_scheduled
+from repro.bench.harness import run_app
+from repro.sched import DEFAULT_QUANTUM
 
 CONNECTIONS = 6
 REQUESTS_PER_CONNECTION = 4
@@ -34,8 +35,8 @@ def _event_pool(workers=1):
     return NginxConfig(workers=workers, master_serves=False, event_loop=True)
 
 
-def _run(config, quantum=None):
-    return run_app_scheduled(
+def _run(config, quantum=DEFAULT_QUANTUM):
+    return run_app(
         "nginx",
         config=config,
         app_config=_event_pool(),

@@ -2,7 +2,8 @@
 
 from repro.apps.nginx import NginxConfig
 from repro.apps.workloads import ConcurrentWrkWorkload
-from repro.bench.harness import run_app_scheduled
+from repro.bench.harness import run_app
+from repro.sched import DEFAULT_QUANTUM
 
 REQUESTS = 6 * 4  # connections * requests_per_connection
 
@@ -19,11 +20,12 @@ def _pool(workers):
 
 class TestMultiWorkerNginx:
     def test_four_workers_serve_all_requests(self):
-        result = run_app_scheduled(
+        result = run_app(
             "nginx",
             config="cet_ct_cf_ai",
             app_config=_pool(4),
             workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert result.ok
         assert result.violations == []
@@ -34,8 +36,12 @@ class TestMultiWorkerNginx:
         assert result.throughput_mbps() > 0
 
     def test_latency_percentiles_populated(self):
-        result = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(2), workload=_workload()
+        result = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(2),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         latency = result.latency
         assert latency["count"] == REQUESTS
@@ -44,21 +50,30 @@ class TestMultiWorkerNginx:
         assert result.latency_ms("p99") > 0
 
     def test_protection_costs_cycles_not_requests(self):
-        vanilla = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(2), workload=_workload()
+        vanilla = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(2),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
-        bastion = run_app_scheduled(
+        bastion = run_app(
             "nginx",
             config="cet_ct_cf_ai",
             app_config=_pool(2),
             workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert vanilla.work_units == bastion.work_units
         assert bastion.total_cycles > vanilla.total_cycles
 
     def test_single_worker_pool_matches_request_count(self):
-        result = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(1), workload=_workload()
+        result = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(1),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert result.ok
         assert result.work_units == REQUESTS
@@ -82,8 +97,6 @@ class TestMultiWorkerNginx:
     def test_paper_faithful_single_process_unchanged(self):
         """The default config still serves from the master with no clones
         (the seed's paper-faithful path)."""
-        from repro.bench.harness import run_app
-
         result = run_app("nginx", "vanilla", scale=0.1)
         assert result.ok
         assert result.work_units > 0
