@@ -201,20 +201,31 @@ class CPU:
         when a syscall parks it (``rip`` still points at the syscall, so
         the next slice restarts it), or ``None`` once ``quantum`` cycles
         of its ledger have been consumed.  ``quantum=None`` never preempts.
+
+        A finished CPU drops its predecode cache.  Every decoded op closes
+        over this CPU, and ``_decoded`` is the only edge back from the CPU
+        to its ops (``cpu -> _decoded -> op -> cell -> cpu``); clearing it
+        lets a finished run's closures die by reference counting instead
+        of waiting for the cycle collector.  Running the CPU again
+        re-decodes lazily.
         """
         if not self._entered:
             self._enter_main()
             self._entered = True
         try:
             if self.options.predecode:
-                return self._run_loop_fast(quantum)
-            return self._run_loop_classic(quantum)
+                status = self._run_loop_fast(quantum)
+            else:
+                status = self._run_loop_classic(quantum)
         except WouldBlock as blocked:
             return blocked
         except ProcessKilled as killed:
-            return ExitStatus("killed", 137, str(killed))
+            status = ExitStatus("killed", 137, str(killed))
         except VMFault as fault:
-            return ExitStatus("fault", 139, "%s: %s" % (type(fault).__name__, fault))
+            status = ExitStatus("fault", 139, "%s: %s" % (type(fault).__name__, fault))
+        if status is not None:
+            self._decoded.clear()
+        return status
 
     def _run_loop_classic(self, quantum):
         """The reference interpreter loop (`_step` per instruction)."""

@@ -19,7 +19,7 @@ import bisect
 from repro.errors import ExecutionFault, LoaderError
 from repro.ir.instructions import Call, CallIndirect
 from repro.ir.validate import validate_module
-from repro.vm.memory import WORD
+from repro.vm.memory import WORD, Memory
 
 TEXT_BASE = 0x0040_0000
 DATA_BASE = 0x0060_0000
@@ -56,6 +56,7 @@ class Image:
             self.global_addr[gvar.name] = daddr
             daddr += gvar.size * WORD
         self.data_end = daddr
+        self._data = None  # initial data words, see write_globals
 
         if self.text_end > DATA_BASE:
             raise LoaderError("text segment overflows into data segment")
@@ -128,9 +129,19 @@ class Image:
     # -- data ----------------------------------------------------------------
 
     def write_globals(self, memory):
-        """Materialize global initializers into ``memory``."""
-        for gvar in self.module.globals.values():
-            memory.write_block(self.global_addr[gvar.name], gvar.initial_words())
+        """Materialize global initializers into ``memory``.
+
+        The initial data words are laid out once per image, on the first
+        call, and bulk-copied into every process after that.  A non-int
+        initializer raises :class:`TypeError` on every call, as the
+        word-by-word write does, and nothing is kept.
+        """
+        if self._data is None:
+            data = Memory()
+            for gvar in self.module.globals.values():
+                data.write_block(self.global_addr[gvar.name], gvar.initial_words())
+            self._data = data
+        memory.copy_from(self._data)
 
 
 def load_module(module, memory=None):
@@ -138,8 +149,9 @@ def load_module(module, memory=None):
     globals to ``memory``.
 
     The image is built once per module (:meth:`Module.derive`) and shared
-    by every launch: an :class:`Image` is read-only after construction,
-    and per-process state (memory, registers, predecoded closures) lives
+    by every launch: an :class:`Image` is read-only after construction
+    (apart from its initial data words, laid out on first use), and
+    per-process state (memory, registers, predecoded closures) lives
     elsewhere.  A changed module is re-validated on the next call.
     """
     image = module.derive("image", Image)

@@ -60,6 +60,10 @@ class Memory:
         for i, value in enumerate(words):
             self.write(addr + i * WORD, value)
 
+    def copy_from(self, other):
+        """Write every slot of ``other`` into this memory, in its order."""
+        self._words.update(other._words)
+
     def read_cstr(self, addr, max_slots=4096):
         """Read a NUL-terminated string starting at ``addr``."""
         chars = []

@@ -184,3 +184,60 @@ class TestGlobalsMaterialization:
         hello = image.global_addr["hello"]
         assert memory.read_cstr(hello) == "hi"
         assert memory.read(image.global_addr["counter"]) == 7
+
+
+def _reference_globals(image):
+    """The word-by-word loader: one ``write_block`` per global."""
+    memory = Memory()
+    for gvar in image.module.globals.values():
+        memory.write_block(image.global_addr[gvar.name], gvar.initial_words())
+    return memory
+
+
+def _target_modules():
+    from repro.attacks.runner import TARGETS
+    from repro.compiler.pipeline import protect
+
+    for name, target in sorted(TARGETS.items()):
+        module = target.build()
+        yield name, module
+        yield name + "+bastion", protect(module).module
+
+
+class TestGlobalsOncePerImage:
+    def test_process_memory_equals_reference_loop_for_every_attack_target(self):
+        from repro.kernel.kernel import Kernel
+
+        kernel = Kernel()
+        for name, module in _target_modules():
+            image = Image(module)
+            reference = list(_reference_globals(image)._words.items())
+            assert reference, name
+            for _ in range(2):  # the first process lays out, the second copies
+                proc = kernel.create_process(name, image)
+                assert list(proc.memory._words.items()) == reference, name
+
+    def test_processes_of_one_image_never_share_words(self):
+        from repro.kernel.kernel import Kernel
+
+        kernel = Kernel()
+        image = Image(_module())
+        first = kernel.create_process("a", image)
+        second = kernel.create_process("b", image)
+        assert first.memory._words is not second.memory._words
+        counter = image.global_addr["counter"]
+        first.memory.write(counter, 99)
+        assert second.memory.read(counter) == 7
+        assert kernel.create_process("c", image).memory.read(counter) == 7
+
+    def test_non_int_initializer_raises_at_every_process_creation(self):
+        from repro.kernel.kernel import Kernel
+
+        mb = ModuleBuilder("bad")
+        mb.global_var("table", init=[1, "x"])
+        mb.function("main").ret(0)
+        image = Image(mb.build())  # layout alone does not read the values
+        kernel = Kernel()
+        for _ in range(2):
+            with pytest.raises(TypeError, match="memory stores ints, got 'x'"):
+                kernel.create_process("bad", image)

@@ -7,6 +7,7 @@ tests run the same programs both ways and diff everything observable.
 """
 
 from repro.ir.builder import ModuleBuilder
+from repro.ir.instructions import Imm, Ret
 from repro.vm.cpu import CPUOptions
 from tests.conftest import run_main, run_module
 
@@ -180,5 +181,46 @@ class TestCacheInvalidation:
         assert status.code == 7
         func = module.functions["main"]
         version_before = func.version
+        body = func.body
+        func.body[-1] = Ret(Imm(9))  # in place: the body list is the same
         func.invalidate()
+        assert func.body is body
         assert func.version > version_before
+        fresh_proc = kernel.create_process("m", image)
+        fresh = CPU(image, fresh_proc, kernel, CPUOptions())
+        assert fresh.run().code == 9
+
+    def test_reentered_function_runs_its_edited_body(self):
+        """A CPU that already decoded a function and re-enters it after an
+        in-place edit plus invalidate() executes the new body."""
+        from repro.kernel.kernel import Kernel
+        from repro.vm.cpu import CPU
+        from repro.vm.loader import Image
+
+        mb = ModuleBuilder("m")
+        g = mb.function("seven")
+        g.intrinsic("trace", [1])
+        g.ret(7)
+        f = mb.function("main")
+        first = f.call("seven")
+        f.intrinsic("trace", [first])
+        f.hook("edit")
+        second = f.call("seven")
+        f.intrinsic("trace", [second])
+        f.ret(second)
+        module = mb.build()
+
+        def edit(cpu):
+            seven = module.functions["seven"]
+            assert "seven" in cpu._decoded  # decoded by the first call
+            seven.body[-1] = Ret(Imm(9))
+            seven.invalidate()
+
+        kernel = Kernel()
+        image = Image(module)
+        proc = kernel.create_process("m", image)
+        cpu = CPU(image, proc, kernel, CPUOptions())
+        cpu.hooks["edit"] = edit
+        status = cpu.run()
+        assert (status.kind, status.code) == ("returned", 9)
+        assert proc.trace_log == [[1], [7], [1], [9]]
